@@ -1,6 +1,6 @@
-// Parallel proof search: wall-clock speedup of the work-stealing driver
-// over the sequential driver on a deliberately hard workload, plus the
-// sequential-mode (parallelism=1) overhead of the refactoring.
+// Parallel proof search: wall-clock scaling of the work-stealing driver
+// from 1 worker (the deterministic default every QueryService request
+// uses) to 2/4/8 workers on a deliberately hard workload.
 //
 // The workload is a chain query R0(x0,x1) ∧ ... ∧ R{k-1}(x_{k-1},x_k) where
 // every relation carries `m` alternative free-access methods with slightly
@@ -8,17 +8,17 @@
 // is the full (subset × method) lattice: the dominance store collapses
 // same-subset permutations and the incumbent bound prunes expensive method
 // choices — both shared structures are on the hot path, which is exactly
-// what the parallel driver has to get right. Node expansions are dominated
-// by config copies, chase closures, and homomorphism checks (µs–ms each),
-// the granularity the work-stealing deque is designed for.
+// what the work-stealing driver has to get right. Node expansions are
+// dominated by config copies, chase closures, and homomorphism checks
+// (µs–ms each), the granularity the work-stealing deque is designed for.
 //
 // Numbers to watch (also summarized by bench/run_benches.sh):
 //  - BM_ParallelSearch/workers:1 vs workers:2/4/8 — the speedup curve.
 //    Meaningful only on a host with that many cores; the summary prints the
 //    host core count next to the results.
-//  - workers:1 vs the pre-refactor sequential driver — tracked by
-//    BM_SearchScaling in bench_search_scaling.cc (same code path), budget
-//    <= 2% regression.
+//  - nodes_expanded per row. Workers that publish a cheap incumbent earlier
+//    than the depth-first order would expand fewer nodes, so a speedup is
+//    only a scaling result when the rows' expansion counts agree.
 
 #include <benchmark/benchmark.h>
 

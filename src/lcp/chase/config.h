@@ -27,9 +27,7 @@ namespace lcp {
 /// from any number of threads concurrently: the catch-up is guarded by a
 /// double-checked lock (an acquire/release watermark plus a build mutex), so
 /// a fully-indexed configuration costs one atomic load per probe and a
-/// shared configuration can serve concurrent read-only planners. Call
-/// PrepareForConcurrentReads() after the last Add to pay the build once,
-/// outside any contended section.
+/// shared configuration can serve concurrent read-only planners.
 class ChaseConfig {
  public:
   ChaseConfig() = default;
@@ -102,12 +100,6 @@ class ChaseConfig {
   /// Extensions smaller than this are cheaper to scan than to index-probe;
   /// the matcher (and other index users) fall back to FactsOf below it.
   static constexpr size_t kIndexProbeThreshold = 8;
-
-  /// Pre-build hook: brings the positional index fully up to date so that
-  /// subsequent concurrent const probes never contend on the build mutex.
-  /// Idempotent; call after the last Add when the configuration is about to
-  /// be shared read-only across threads.
-  void PrepareForConcurrentReads() const { EnsureIndexed(); }
 
   /// Multi-line dump for debugging/exploration logs.
   std::string ToString(const Schema& schema, const TermArena& arena) const;

@@ -2,7 +2,7 @@
 #define LCP_PLANNER_DOMINANCE_STORE_H_
 
 // Internal header: the sharded concurrent dominance store used by the
-// parallel proof-search driver. Not part of the public API.
+// proof-search driver. Not part of the public API.
 
 #include <cstdint>
 #include <memory>
@@ -35,8 +35,9 @@ uint64_t ConfigFingerprint(const ChaseConfig& config);
 ///    out, then runs the (potentially slow) homomorphism checks lock-free
 ///    against the copied shared_ptrs, so writers are never blocked behind a
 ///    homomorphism check.
-///  - Stored configurations must be immutable and prepared for concurrent
-///    reads (ChaseConfig::PrepareForConcurrentReads) before insertion.
+///  - Stored configurations must be immutable once inserted. Their lazy
+///    positional index is caught up on first probe, under ChaseConfig's
+///    double-checked lock, so concurrent checks may share one.
 ///  - Races are benign by construction: a check that misses a concurrently
 ///    inserted dominator only *loses a prune* (the child is explored
 ///    redundantly); it can never wrongly prune, because every entry it does
@@ -50,8 +51,7 @@ class ConcurrentDominanceStore {
   ConcurrentDominanceStore(const ConcurrentDominanceStore&) = delete;
   ConcurrentDominanceStore& operator=(const ConcurrentDominanceStore&) = delete;
 
-  /// Publishes a node's configuration as a dominator candidate. `config`
-  /// must already be prepared for concurrent reads.
+  /// Publishes a node's configuration as a dominator candidate.
   void Insert(uint64_t fingerprint, double cost, int accesses,
               std::shared_ptr<const ChaseConfig> config);
 

@@ -1,13 +1,15 @@
-// The work-stealing parallel driver for Algorithm 1. The sequential driver
-// lives in proof_search.cc; both share SearchCore for node expansion. See
-// DESIGN.md §8 for the full protocol write-up.
+// The proof-search driver for Algorithm 1: a work-stealing depth-first
+// search over SearchCore's node expansion, run with SearchOptions::
+// parallelism workers. See DESIGN.md §8 for the full protocol write-up.
 //
 // Scheduling: each worker owns a deque of live nodes. A worker expands its
 // current node one candidate at a time; a viable (non-pruned, non-success)
 // child makes the worker push the *parent* back onto its own deque bottom
-// and descend into the child — the same order the sequential driver's
-// explicit stack produces — which leaves the parent (the larger remaining
-// subtree) exposed for thieves, the classic work-first principle.
+// and descend into the child, which leaves the parent (the larger remaining
+// subtree) exposed for thieves, the classic work-first principle. With one
+// worker, RunWorkers spawns no thread and owner-LIFO pops make the deque an
+// explicit DFS stack: exploration order, node numbering, stats and the
+// exploration log are deterministic.
 //
 // Shared state and why the races are benign:
 //  - Incumbent bound: best_cost_ is an atomic read with relaxed order on the
@@ -19,8 +21,8 @@
 //    dominance_store.h); it never wrongly prunes.
 //  - Node ownership: exactly one worker owns a node at a time; the deque
 //    mutex synchronizes hand-off. Configurations are immutable after
-//    BuildChild and prepared for concurrent reads before entering the
-//    dominance store.
+//    BuildChild; ChaseConfig's lazy index catch-up is safe under the
+//    concurrent reads of the dominance store and thieves.
 //  - Termination: in_flight_ counts live nodes (in some deque or held by a
 //    worker). It is incremented before a push makes a node stealable and
 //    decremented only when a node's candidates are exhausted, so it reaches
@@ -34,6 +36,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,13 +51,14 @@ namespace search_internal {
 
 namespace {
 
-class ParallelDriver {
+class WorkStealingDriver {
  public:
-  ParallelDriver(const AccessibleSchema& acc, const CostFunction& cost,
-                 const ConjunctiveQuery& query, const SearchOptions& options)
+  WorkStealingDriver(const AccessibleSchema& acc, const CostFunction& cost,
+                     const ConjunctiveQuery& query,
+                     const SearchOptions& options)
       : core_(acc, cost, query, options),
         options_(options),
-        num_workers_(options.parallelism),
+        num_workers_(options.parallelism < 1 ? 1 : options.parallelism),
         deques_(num_workers_),
         workers_(num_workers_),
         // ~4 shards per worker keeps insert contention low without making
@@ -75,11 +80,10 @@ class ParallelDriver {
     }
     auto root_sp = std::make_shared<SearchNode>(std::move(*root));
     nodes_created_.store(1, std::memory_order_relaxed);
-    next_node_id_.store(1, std::memory_order_relaxed);
     // The root counts against the node budget like any other node.
     if (budget != nullptr) (void)budget->ChargeNode();
+    Log(*root_sp, "initial");
     if (options_.prune_by_dominance) {
-      root_sp->config.PrepareForConcurrentReads();
       store_.Insert(ConfigFingerprint(root_sp->config), root_sp->cost,
                     root_sp->accesses,
                     std::shared_ptr<const ChaseConfig>(root_sp,
@@ -151,17 +155,20 @@ class ParallelDriver {
         cur.reset();
         continue;
       }
-      // Checked per worker before each creation, so the global total can
-      // overshoot the cap by at most `parallelism` nodes (documented in
-      // proof_search.h).
-      if (nodes_created_.load(std::memory_order_relaxed) >=
-          options_.max_nodes) {
+      // The created-node count names the child, so a pruned child shares
+      // its id with the next created node. Ids rise strictly along every
+      // root-to-leaf path (a parent is counted before any child of it is
+      // built), and a plan's table names only need to be unique along its
+      // path. The cap is checked per worker before each creation, so the
+      // global total can overshoot it by at most `parallelism` nodes
+      // (documented in proof_search.h).
+      const int child_id = nodes_created_.load(std::memory_order_relaxed);
+      if (child_id >= options_.max_nodes) {
         LatchExhaustion(ResourceExhaustedError(StrCat(
             "search node cap of ", options_.max_nodes, " reached")));
         RequestStop();
         break;
       }
-      int child_id = next_node_id_.fetch_add(1, std::memory_order_relaxed);
       Result<SearchNode> built =
           core_.BuildChild(*cur, cand_index, child_id, engine, stats);
       if (!built.ok()) {
@@ -180,6 +187,7 @@ class ParallelDriver {
       if (options_.prune_by_cost &&
           child.cost >= best_cost_.load(std::memory_order_relaxed)) {
         ++stats.pruned_cost;
+        Log(child, "pruned(cost)");
         continue;
       }
       if (options_.prune_by_dominance) {
@@ -187,6 +195,7 @@ class ParallelDriver {
         if (store_.IsDominated(probe.pattern, probe.num_vars, child.cost,
                                child.accesses)) {
           ++stats.pruned_dominance;
+          Log(child, "pruned(dominated)");
           continue;
         }
       }
@@ -197,11 +206,12 @@ class ParallelDriver {
       // before its next expansion.
       if (budget != nullptr) (void)budget->ChargeNode();
       if (options_.prune_by_dominance) {
-        // Successful nodes are dominators too (as in the sequential
-        // driver's node store).
-        sp->config.PrepareForConcurrentReads();
+        // Successful nodes are dominators too.
         store_.Insert(ConfigFingerprint(sp->config), sp->cost, sp->accesses,
                       std::shared_ptr<const ChaseConfig>(sp, &sp->config));
+      }
+      if (options_.collect_exploration_log) {
+        Log(*sp, StrCat(sp->success ? "SUCCESS cost=" : "cost=", sp->cost));
       }
       if (sp->success) {
         ++stats.successes;
@@ -259,6 +269,14 @@ class ParallelDriver {
     }
   }
 
+  /// Appends an exploration-log line. The log is only collected at one
+  /// worker (ProofSearch::Run rejects it otherwise), so no lock is needed.
+  void Log(const SearchNode& node, std::string_view status) {
+    if (!options_.collect_exploration_log) return;
+    outcome_.exploration_log.push_back(
+        core_.LogLine(node, std::string(status)));
+  }
+
   void LatchExhaustion(Status status) {
     std::lock_guard<std::mutex> lock(status_mutex_);
     if (exhaustion_.ok()) exhaustion_ = std::move(status);
@@ -282,10 +300,8 @@ class ParallelDriver {
   std::atomic<int> in_flight_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> done_{false};
+  /// Created nodes; also the id of the next child to be built.
   std::atomic<int> nodes_created_{0};
-  /// Node-id allocator; pruned children leave id gaps, which is fine — ids
-  /// only need to be unique (they name plan tables).
-  std::atomic<int> next_node_id_{0};
 
   /// The incumbent bound, read lock-free on the pruning fast path. Only
   /// ever decreases; writes go through best_mutex_.
@@ -303,12 +319,10 @@ class ParallelDriver {
 
 }  // namespace
 
-Result<SearchOutcome> RunParallelSearch(const AccessibleSchema& accessible,
-                                        const CostFunction& cost,
-                                        const ConjunctiveQuery& query,
-                                        const SearchOptions& options) {
-  LCP_CHECK(options.parallelism > 1);
-  ParallelDriver driver(accessible, cost, query, options);
+Result<SearchOutcome> RunWorkStealingSearch(
+    const AccessibleSchema& accessible, const CostFunction& cost,
+    const ConjunctiveQuery& query, const SearchOptions& options) {
+  WorkStealingDriver driver(accessible, cost, query, options);
   return driver.Run();
 }
 

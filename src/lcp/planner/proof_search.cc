@@ -1,194 +1,11 @@
 #include "lcp/planner/proof_search.h"
 
-#include <deque>
 #include <utility>
-#include <vector>
 
 #include "lcp/base/strings.h"
-#include "lcp/chase/matcher.h"
 #include "lcp/planner/search_core.h"
 
 namespace lcp {
-
-namespace {
-
-using search_internal::SearchCore;
-using search_internal::SearchNode;
-
-/// The sequential depth-first driver: the original Algorithm 1 loop, with
-/// node expansion delegated to SearchCore (shared with the parallel driver
-/// in parallel_search.cc). Exploration order, pruning decisions, node
-/// numbering, stats, and logs are bit-for-bit the pre-parallelism behavior.
-class SequentialContext {
- public:
-  SequentialContext(const AccessibleSchema& acc, const CostFunction& cost,
-                    const ConjunctiveQuery& query,
-                    const SearchOptions& options)
-      : core_(acc, cost, query, options),
-        options_(options),
-        engine_(&core_.schema(), &core_.arena()) {}
-
-  Result<SearchOutcome> Run();
-
- private:
-  Status InitRoot();
-  /// Creates the child of `node` exposing `cand`; returns its id, or -1 if
-  /// it was pruned.
-  Result<int> Expand(int node_id, int cand_index);
-  void RecordSuccess(SearchNode& node);
-  bool IsDominated(const SearchNode& child) const;
-  void Log(const SearchNode& node, const std::string& status);
-
-  SearchCore core_;
-  const SearchOptions& options_;
-  ChaseEngine engine_;
-  std::deque<SearchNode> nodes_;
-  SearchOutcome outcome_;
-};
-
-Status SequentialContext::InitRoot() {
-  LCP_ASSIGN_OR_RETURN(SearchNode root,
-                       core_.InitRoot(engine_, outcome_.stats));
-  nodes_.push_back(std::move(root));
-  outcome_.stats.nodes_created = 1;
-  // The root counts against the node budget like any other node.
-  if (options_.budget != nullptr) (void)options_.budget->ChargeNode();
-  Log(nodes_[0], "initial");
-  return Status::Ok();
-}
-
-void SequentialContext::RecordSuccess(SearchNode& node) {
-  node.success = true;
-  ++outcome_.stats.successes;
-  FoundPlan found = core_.MakeFoundPlan(node);
-  if (options_.keep_all_plans) {
-    outcome_.all_plans.push_back(found);
-  }
-  if (!outcome_.best.has_value() || found.cost < outcome_.best->cost) {
-    outcome_.best = std::move(found);
-  }
-}
-
-bool SequentialContext::IsDominated(const SearchNode& child) const {
-  SearchCore::DominanceProbe probe = core_.MakeDominanceProbe(child);
-  for (const SearchNode& other : nodes_) {
-    if (other.id == child.id || other.pruned) continue;
-    if (other.cost > child.cost) continue;
-    // The dominator must also be able to afford every extension the child
-    // could (the access budget is a separate resource from cost).
-    if (other.accesses > child.accesses) continue;
-    std::vector<ChaseTermId> assignment(probe.num_vars, kUnboundTerm);
-    if (HasHomomorphism(probe.pattern, other.config, std::move(assignment))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Result<int> SequentialContext::Expand(int node_id, int cand_index) {
-  LCP_ASSIGN_OR_RETURN(
-      SearchNode child,
-      core_.BuildChild(nodes_[node_id], cand_index,
-                       static_cast<int>(nodes_.size()), engine_,
-                       outcome_.stats));
-
-  if (options_.prune_by_cost && outcome_.best.has_value() &&
-      child.cost >= outcome_.best->cost) {
-    child.pruned = true;
-    ++outcome_.stats.pruned_cost;
-    Log(child, "pruned(cost)");
-    return -1;
-  }
-  if (options_.prune_by_dominance && IsDominated(child)) {
-    child.pruned = true;
-    ++outcome_.stats.pruned_dominance;
-    Log(child, "pruned(dominated)");
-    return -1;
-  }
-
-  bool success = core_.CheckSuccess(child);
-  int child_id = child.id;
-  nodes_.push_back(std::move(child));
-  ++outcome_.stats.nodes_created;
-  // Charge the node; the main loop's Check() notices an exceeded cap before
-  // the next expansion, so at most one node overshoots the budget.
-  if (options_.budget != nullptr) (void)options_.budget->ChargeNode();
-  if (success) {
-    RecordSuccess(nodes_.back());
-    Log(nodes_.back(), StrCat("SUCCESS cost=", nodes_.back().cost));
-  } else {
-    Log(nodes_.back(), StrCat("cost=", nodes_.back().cost));
-  }
-  return child_id;
-}
-
-void SequentialContext::Log(const SearchNode& node,
-                            const std::string& status) {
-  if (!options_.collect_exploration_log) return;
-  outcome_.exploration_log.push_back(core_.LogLine(node, status));
-}
-
-Result<SearchOutcome> SequentialContext::Run() {
-  Status init = InitRoot();
-  if (!init.ok()) {
-    // Anytime contract: a budget that dies during the root closure yields an
-    // empty best-effort outcome, not an error.
-    if (options_.budget != nullptr && options_.budget->exhausted()) {
-      outcome_.exhaustion = options_.budget->exhaustion();
-      return std::move(outcome_);
-    }
-    return init;
-  }
-  std::vector<int> stack = {0};
-  while (!stack.empty()) {
-    if (options_.budget != nullptr) {
-      Status budget_status = options_.budget->Check();
-      if (!budget_status.ok()) {
-        outcome_.exhaustion = std::move(budget_status);
-        break;
-      }
-    }
-    int vid = stack.back();
-    SearchNode& v = nodes_[vid];
-    if (v.success) {
-      stack.pop_back();
-      continue;
-    }
-    int cand_index = core_.NextCandidate(v);
-    if (cand_index < 0) {
-      stack.pop_back();
-      continue;
-    }
-    if (v.accesses >= options_.max_access_commands) {
-      ++outcome_.stats.depth_limited;
-      stack.pop_back();
-      continue;
-    }
-    if (outcome_.stats.nodes_created >= options_.max_nodes) {
-      outcome_.exhaustion = ResourceExhaustedError(
-          StrCat("search node cap of ", options_.max_nodes, " reached"));
-      break;
-    }
-    Result<int> expanded = Expand(vid, cand_index);
-    if (!expanded.ok()) {
-      // A chase closure interrupted by the shared budget stops the search
-      // gracefully with whatever was found; genuine chase errors propagate.
-      if (options_.budget != nullptr && options_.budget->exhausted()) {
-        outcome_.exhaustion = options_.budget->exhaustion();
-        break;
-      }
-      return expanded.status();
-    }
-    int child_id = *expanded;
-    if (child_id >= 0 && !nodes_[child_id].success) {
-      stack.push_back(child_id);
-    }
-    if (options_.stop_at_first_plan && outcome_.best.has_value()) break;
-  }
-  return std::move(outcome_);
-}
-
-}  // namespace
 
 ProofSearch::ProofSearch(const AccessibleSchema* accessible,
                          const CostFunction* cost)
@@ -210,15 +27,11 @@ Result<SearchOutcome> ProofSearch::Run(const ConjunctiveQuery& query,
         "exploration log is an ordered depth-first trace, and a parallel "
         "exploration has no canonical order");
   }
-  Result<SearchOutcome> result =
-      options.parallelism > 1
-          ? search_internal::RunParallelSearch(*accessible_, *cost_, query,
-                                               options)
-          : SequentialContext(*accessible_, *cost_, query, options).Run();
+  Result<SearchOutcome> result = search_internal::RunWorkStealingSearch(
+      *accessible_, *cost_, query, options);
   if (!result.ok() || !options.optimize_plans) return result;
 
-  // Post-search optimization (DESIGN.md §11) — one place covers both the
-  // sequential and the work-stealing driver. Optimizer failures are never
+  // Post-search optimization (DESIGN.md §11). Optimizer failures are never
   // search failures: the literal proof-derived plan is already correct, so
   // any rejection just serves it as-is.
   SearchOutcome outcome = std::move(result).value();

@@ -48,8 +48,8 @@ struct SearchOptions {
   /// Hard cap on created search nodes.
   int max_nodes = 100000;
   /// Access methods the search must not use: candidates over these methods
-  /// are dropped at enumeration time, in both the sequential and parallel
-  /// drivers, so no returned plan ever contains an excluded method. This is
+  /// are dropped at enumeration time, at every worker count, so no returned
+  /// plan ever contains an excluded method. This is
   /// the planner half of source-health failover (DESIGN.md §10): the
   /// serving layer passes the quarantined-method mask here and proof search
   /// re-routes through live alternatives — the paper's many-sound-plans
@@ -61,19 +61,22 @@ struct SearchOptions {
   /// accessible copies, "Fire Inferred Accessible Rules Immediately").
   ChaseOptions root_chase;
   ChaseOptions closure_chase;
-  /// Record one human-readable line per node (Figure 1 style dumps).
-  /// Requires parallelism == 1: the log is an ordered trace of a
-  /// depth-first exploration, and a parallel exploration has no canonical
-  /// order — Run returns kInvalidArgument when both are requested.
+  /// Record one human-readable line per node (Figure 1 style dumps): the
+  /// root ("initial"), every created node ("cost=", "SUCCESS cost=") and
+  /// every pruned child ("pruned(cost)", "pruned(dominated)"; a pruned
+  /// child shows the id the next created node will take). Requires
+  /// parallelism <= 1: the log is an ordered trace of a depth-first
+  /// exploration, and a parallel exploration has no canonical order — Run
+  /// returns kInvalidArgument when both are requested.
   bool collect_exploration_log = false;
   CandidateOrder candidate_order = CandidateOrder::kDerivationDepth;
-  /// Number of search workers. 1 (the default) runs the original sequential
-  /// depth-first driver — bit-for-bit the pre-parallelism behavior,
-  /// including exploration-log support and deterministic node numbering.
-  /// Values > 1 run a work-stealing parallel driver: workers expand nodes
-  /// against a shared atomic incumbent bound (prune_by_cost uses the global
-  /// cheapest plan) and a sharded concurrent dominance store. Guarantees
-  /// versus the sequential driver:
+  /// Number of search workers. Every search runs one work-stealing
+  /// depth-first driver: workers expand nodes against a shared atomic
+  /// incumbent bound (prune_by_cost uses the global cheapest plan) and a
+  /// sharded concurrent dominance store. 1 (the default) runs on the
+  /// calling thread and is deterministic: owner-LIFO scheduling is plain
+  /// depth-first order, so node numbering, stats, plans and the exploration
+  /// log repeat exactly. Guarantees of values > 1 versus 1:
   ///  - Run to exhaustion (exhaustion.ok()), it finds the same optimal
   ///    cost; the identity of the returned plan may differ when several
   ///    plans tie or the exploration order changes which one is found
@@ -101,9 +104,9 @@ struct SearchOptions {
   /// unlimited.
   Budget* budget = nullptr;
   /// Run the plan-IR optimizer pipeline (plan/opt/, DESIGN.md §11) over
-  /// every returned plan once the search (sequential or parallel) has
-  /// finished: common-subplan elimination, projection/selection pushdown,
-  /// dead-command elimination, and join reorder, each re-validated and
+  /// every returned plan once the search has finished: common-subplan
+  /// elimination, projection/selection pushdown, dead-command elimination,
+  /// and join reorder, each re-validated and
   /// guaranteed not to raise cost. `best->cost` is re-evaluated afterwards,
   /// so it can only drop. Off by default — proof-generated plans are often
   /// already minimal and differential harnesses may want the literal plan;

@@ -59,8 +59,7 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
   // ordered by derivation depth (fact insertion index) then method cost.
   // Methods on the exclusion mask (quarantined by the source-health
   // registry) never become candidates, so every plan read off a proof is
-  // guaranteed to route around them — in both drivers, which share this
-  // enumeration.
+  // guaranteed to route around them, at every worker count.
   std::vector<char> excluded(
       static_cast<size_t>(acc_.base().num_access_methods()), 0);
   for (AccessMethodId m : options_.excluded_methods) {

@@ -1,10 +1,9 @@
 #ifndef LCP_PLANNER_SEARCH_CORE_H_
 #define LCP_PLANNER_SEARCH_CORE_H_
 
-// Internal header: the node-expansion core of Algorithm 1, shared by the
-// sequential depth-first driver (proof_search.cc) and the work-stealing
-// parallel driver (parallel_search.cc). Not part of the public API —
-// include lcp/planner/proof_search.h instead.
+// Internal header: the node-expansion core of Algorithm 1, driven by the
+// work-stealing depth-first driver (parallel_search.cc). Not part of the
+// public API — include lcp/planner/proof_search.h instead.
 
 #include <string>
 #include <unordered_set>
@@ -52,15 +51,14 @@ struct SearchNode {
   double cost = 0;
   int accesses = 0;
   bool success = false;
-  bool pruned = false;
   std::string label;  ///< "expose F via mt" (for exploration logs).
 };
 
-/// The driver-independent parts of Algorithm 1: root construction, candidate
-/// iteration, node expansion (configuration update, inferred-accessible
-/// closure, §4 proof-to-plan translation, cost), success detection, and the
-/// dominance-probe pattern. Pruning *decisions* and node bookkeeping stay in
-/// the drivers, which differ in how they share the incumbent bound and the
+/// The scheduling-independent parts of Algorithm 1: root construction,
+/// candidate iteration, node expansion (configuration update,
+/// inferred-accessible closure, §4 proof-to-plan translation, cost), success
+/// detection, and the dominance-probe pattern. Pruning *decisions* and node
+/// bookkeeping stay in the driver, which owns the incumbent bound and the
 /// dominance set.
 ///
 /// Thread model: construction and InitRoot are single-threaded; afterwards
@@ -98,7 +96,7 @@ class SearchCore {
   /// closure, plan prefix, cost. Returns the child without making any
   /// pruning decision. Mutates only `parent` (which the caller owns) and
   /// `stats` (the caller's). Errors propagate (typically a budget-exhausted
-  /// chase closure; drivers translate that into the anytime contract).
+  /// chase closure; the driver translates that into the anytime contract).
   Result<SearchNode> BuildChild(SearchNode& parent, int cand_index,
                                 int child_id, ChaseEngine& engine,
                                 SearchStats& stats) const;
@@ -146,13 +144,13 @@ class SearchCore {
   std::vector<ChaseTermId> free_var_terms_;
 };
 
-/// The work-stealing parallel driver (parallel_search.cc). Requires
-/// options.parallelism > 1 and collect_exploration_log == false (the public
-/// entry point enforces both).
-Result<SearchOutcome> RunParallelSearch(const AccessibleSchema& accessible,
-                                        const CostFunction& cost,
-                                        const ConjunctiveQuery& query,
-                                        const SearchOptions& options);
+/// The work-stealing driver (parallel_search.cc), with
+/// max(1, options.parallelism) workers. collect_exploration_log requires a
+/// single worker (the public entry point enforces it).
+Result<SearchOutcome> RunWorkStealingSearch(const AccessibleSchema& accessible,
+                                           const CostFunction& cost,
+                                           const ConjunctiveQuery& query,
+                                           const SearchOptions& options);
 
 }  // namespace search_internal
 }  // namespace lcp

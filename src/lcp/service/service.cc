@@ -61,8 +61,7 @@ QueryService::QueryService(const AccessibleSchema* accessible,
   // Per-request budgets are armed in Serve; a caller-supplied budget in the
   // template would be shared across threads, which Budget forbids.
   options_.search.budget = nullptr;
-  options_.search.parallelism =
-      options_.planner_parallelism < 1 ? 1 : options_.planner_parallelism;
+  if (options_.search.parallelism < 1) options_.search.parallelism = 1;
   options_.execution.exec_parallelism =
       options_.exec_parallelism < 1 ? 1 : options_.exec_parallelism;
   if (options_.search.parallelism > 1) {
@@ -448,29 +447,32 @@ void QueryService::WorkerLoop() {
       inflight_[job.ticket] = job.cancel;
     }
     const int64_t now = clock_->NowMicros();
+    QueryResponse response;
     if (job.deadline_at >= 0 && now >= job.deadline_at) {
       // Expired while queued: shed without planning. The `searches` counter
       // must not move for these — queue wait is never free, and overload
       // must not buy proof searches nobody is waiting for.
       shed_.fetch_add(1, std::memory_order_relaxed);
-      QueryResponse response;
       response.status = DeadlineExceededError(
           StrCat("deadline expired after ", now - job.enqueue_micros,
                  "us in queue; shed without planning"));
       response.epoch = epoch_.load(std::memory_order_acquire);
       response.queue_micros = now - job.enqueue_micros;
-      ResolveJob(job, std::move(response));
     } else {
-      ResolveJob(job, Serve(job, source.get()));
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      inflight_.erase(job.ticket);
+      response = Serve(job, source.get());
     }
     // Interval snapshots piggyback on request completion: an idle service
     // writes nothing (its cache is not changing), and no dedicated thread is
     // needed. The due check is one relaxed load on the common path.
     MaybeWriteSnapshot();
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      inflight_.erase(job.ticket);
+    }
+    // Resolve last: once a caller's future is ready, every effect of its
+    // request (stats, the snapshot its completion made due, leaving the
+    // in-flight set) is already visible.
+    ResolveJob(job, std::move(response));
   }
 }
 

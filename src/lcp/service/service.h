@@ -60,13 +60,12 @@ struct ServiceOptions {
   bool cache_enabled = true;
   /// Template for every planning episode. Its `budget` pointer is ignored:
   /// budgets are per-request (see planning_budget_micros).
+  /// `search.parallelism` sets the proof-search workers per planning
+  /// episode; the total planning thread count is num_workers *
+  /// search.parallelism — keep the product near the core count. Values < 1
+  /// are treated as 1. When > 1, the exploration log is disabled on the
+  /// template (unsupported under parallel search).
   SearchOptions search;
-  /// Proof-search workers per planning episode (SearchOptions::parallelism);
-  /// overrides `search.parallelism`. The total planning thread count is
-  /// num_workers * planner_parallelism — keep the product near the core
-  /// count. Values < 1 are treated as 1. When > 1, the exploration log is
-  /// disabled on the search template (unsupported under parallel search).
-  int planner_parallelism = 1;
   /// Execution workers per request (ExecutionOptions::exec_parallelism);
   /// overrides `execution.exec_parallelism`. The total execution thread
   /// count is num_workers * exec_parallelism — keep the product near the

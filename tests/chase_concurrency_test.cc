@@ -68,23 +68,6 @@ TEST(ChaseConcurrencyTest, ColdIndexBuiltUnderConcurrentProbes) {
   }
 }
 
-TEST(ChaseConcurrencyTest, PrepareForConcurrentReadsFrontLoadsTheBuild) {
-  ChaseConfig config = MakeChainConfig();
-  config.PrepareForConcurrentReads();
-  config.PrepareForConcurrentReads();  // idempotent
-
-  std::atomic<int> total_errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&config, &total_errors] {
-      total_errors.fetch_add(ProbeChain(config, /*rounds=*/5),
-                             std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(total_errors.load(), 0);
-}
-
 TEST(ChaseConcurrencyTest, CopiesProbeIndependentlyAcrossThreads) {
   // Copying drops the positional index (it rebuilds lazily); each thread
   // owns a private copy and additionally probes the shared original —

@@ -1,12 +1,16 @@
-// Parallel proof search: differential equivalence against the sequential
-// driver, lifecycle/budget invariants, and the knobs' documented semantics.
+// Parallel proof search: differential equivalence across worker counts,
+// the Theorem 9 optimality oracle, lifecycle/budget invariants, and the
+// knobs' documented semantics.
 //
-// The load-bearing test is the randomized differential suite: for seeded
-// scenarios, the sequential driver and the 2- and 4-worker parallel drivers,
-// all run to exhaustion, must report the same optimal plan cost (plan
-// identity may differ — ties and exploration order are not canonical under
-// work stealing). LCP_PARALLEL_STRESS_ITERS scales the seed count (CI
-// stress/TSan jobs).
+// The load-bearing test is the randomized differential suite. For seeded
+// scenarios, 1, 2 and 4 workers, all run to exhaustion, must report the
+// same optimal plan cost (plan identity may differ — ties and exploration
+// order are not canonical under work stealing). Worker counts share all of
+// the search code, so the suite also checks the 1-worker optimum against an
+// independent oracle: Theorem 9 says pruning by cost and dominance under a
+// simple cost function keeps the optimum, so it must equal the minimum over
+// the unpruned proof space. LCP_PARALLEL_STRESS_ITERS scales the seed count
+// (CI stress/TSan jobs).
 
 #include <gtest/gtest.h>
 
@@ -44,26 +48,24 @@ Result<SearchOutcome> RunScenario(const Scenario& scenario,
   return search.Run(scenario.query, options);
 }
 
-/// Runs one scenario sequentially and with 2 and 4 workers; checks that all
-/// three exhaust the space and agree on the optimal cost (or all find no
-/// plan). Fills `sequential_out` (if non-null) for extra assertions.
-void ExpectParallelAgreesWithSequential(const Scenario& scenario,
-                                        SearchOptions options,
-                                        SearchOutcome* sequential_out =
-                                            nullptr) {
+/// Runs one scenario with 1, 2 and 4 workers; checks that all three
+/// exhaust the space and agree on the optimal cost (or all find no plan).
+/// Fills `single_out` (if non-null) with the 1-worker outcome.
+void ExpectWorkerCountsAgree(const Scenario& scenario, SearchOptions options,
+                             SearchOutcome* single_out = nullptr) {
   options.parallelism = 1;
-  auto sequential = RunScenario(scenario, options);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EXPECT_TRUE(sequential->exhaustion.ok()) << sequential->exhaustion;
+  auto single = RunScenario(scenario, options);
+  ASSERT_TRUE(single.ok()) << single.status();
+  EXPECT_TRUE(single->exhaustion.ok()) << single->exhaustion;
   for (int workers : {2, 4}) {
     options.parallelism = workers;
     auto parallel = RunScenario(scenario, options);
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     EXPECT_TRUE(parallel->exhaustion.ok()) << parallel->exhaustion;
-    ASSERT_EQ(sequential->best.has_value(), parallel->best.has_value())
+    ASSERT_EQ(single->best.has_value(), parallel->best.has_value())
         << scenario.name << " with " << workers << " workers";
-    if (sequential->best.has_value()) {
-      EXPECT_DOUBLE_EQ(sequential->best->cost, parallel->best->cost)
+    if (single->best.has_value()) {
+      EXPECT_DOUBLE_EQ(single->best->cost, parallel->best->cost)
           << scenario.name << " with " << workers << " workers";
     }
     // Stats must be coherent: every worker's counters merged, no charge
@@ -76,7 +78,26 @@ void ExpectParallelAgreesWithSequential(const Scenario& scenario,
       EXPECT_GE(parallel->stats.successes, 1);
     }
   }
-  if (sequential_out != nullptr) *sequential_out = std::move(*sequential);
+  if (single_out != nullptr) *single_out = std::move(*single);
+}
+
+/// Theorem 9 oracle (SimpleCostFunction is monotone): `pruned`, the outcome
+/// of a search with `options`, has the minimum cost over the unpruned proof
+/// space within the same access budget.
+void ExpectPruningKeepsOptimum(const Scenario& scenario, SearchOptions options,
+                               const SearchOutcome& pruned) {
+  options.parallelism = 1;
+  options.prune_by_cost = false;
+  options.prune_by_dominance = false;
+  auto unpruned = RunScenario(scenario, options);
+  ASSERT_TRUE(unpruned.ok()) << unpruned.status();
+  ASSERT_TRUE(unpruned->exhaustion.ok()) << unpruned->exhaustion;
+  ASSERT_EQ(pruned.best.has_value(), unpruned->best.has_value())
+      << scenario.name;
+  if (unpruned->best.has_value()) {
+    EXPECT_NEAR(pruned.best->cost, unpruned->best->cost, 1e-9)
+        << scenario.name;
+  }
 }
 
 TEST(ParallelSearchTest, PaperScenariosAgree) {
@@ -84,17 +105,18 @@ TEST(ParallelSearchTest, PaperScenariosAgree) {
     auto scenario = MakeProfinfoScenario(boolean_query);
     ASSERT_TRUE(scenario.ok());
     SearchOutcome outcome;
-    ExpectParallelAgreesWithSequential(*scenario, SearchOptions{}, &outcome);
+    ExpectWorkerCountsAgree(*scenario, SearchOptions{}, &outcome);
     EXPECT_TRUE(outcome.best.has_value());
   }
   auto telephone = MakeTelephoneScenario();
   ASSERT_TRUE(telephone.ok());
-  ExpectParallelAgreesWithSequential(*telephone, SearchOptions{});
+  ExpectWorkerCountsAgree(*telephone, SearchOptions{});
 }
 
 TEST(ParallelSearchTest, DifferentialRandomizedScenarios) {
   // >= 100 scenarios by default: `iters` rounds of 2 scenarios, each
-  // compared across three parallelism levels.
+  // compared across three parallelism levels and against the unpruned
+  // optimum.
   const int iters = StressIters(50);
   std::mt19937 rng(20260806);
   for (int iter = 0; iter < iters; ++iter) {
@@ -115,7 +137,9 @@ TEST(ParallelSearchTest, DifferentialRandomizedScenarios) {
                                   : CandidateOrder::kFreeAccessFirst;
     options.prune_by_cost = rng() % 4 != 0;  // Mostly on, sometimes off.
     options.keep_all_plans = rng() % 2 == 0;
-    ExpectParallelAgreesWithSequential(*multi, options);
+    SearchOutcome single;
+    ExpectWorkerCountsAgree(*multi, options, &single);
+    ExpectPruningKeepsOptimum(*multi, options, single);
 
     // Chain scenario: plans need several dependent accesses, so parallel
     // workers hand partially-expanded ancestors back and forth.
@@ -124,7 +148,8 @@ TEST(ParallelSearchTest, DifferentialRandomizedScenarios) {
     SearchOptions chain_options;
     chain_options.max_access_commands = 3 + static_cast<int>(rng() % 4);
     chain_options.candidate_order = options.candidate_order;
-    ExpectParallelAgreesWithSequential(*chain, chain_options);
+    ExpectWorkerCountsAgree(*chain, chain_options, &single);
+    ExpectPruningKeepsOptimum(*chain, chain_options, single);
   }
 }
 
@@ -139,9 +164,9 @@ TEST(ParallelSearchTest, ExplorationLogRejectedWhenParallel) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
   // parallelism == 1 keeps full log support.
   options.parallelism = 1;
-  auto sequential = RunScenario(*scenario, options);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_FALSE(sequential->exploration_log.empty());
+  auto single = RunScenario(*scenario, options);
+  ASSERT_TRUE(single.ok());
+  EXPECT_FALSE(single->exploration_log.empty());
 }
 
 TEST(ParallelSearchTest, NodeCapOvershootBoundedByParallelism) {
@@ -280,7 +305,7 @@ TEST(ParallelSearchTest, ParallelismBelowOneRunsSequentially) {
   ASSERT_TRUE(scenario.ok());
   SearchOptions options;
   options.parallelism = 0;
-  options.collect_exploration_log = true;  // Only legal sequentially.
+  options.collect_exploration_log = true;  // Only legal at one worker.
   auto outcome = RunScenario(*scenario, options);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_FALSE(outcome->exploration_log.empty());
