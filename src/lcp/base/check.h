@@ -55,4 +55,12 @@ struct Voidify {
 #define LCP_CHECK_GT(a, b) LCP_CHECK((a) > (b))
 #define LCP_CHECK_GE(a, b) LCP_CHECK((a) >= (b))
 
+/// LCP_CHECK in builds without NDEBUG (Debug, and the sanitizer builds);
+/// under NDEBUG the condition is still compiled but never evaluated.
+#ifdef NDEBUG
+#define LCP_DCHECK(condition) LCP_CHECK(true || (condition))
+#else
+#define LCP_DCHECK(condition) LCP_CHECK(condition)
+#endif
+
 #endif  // LCP_BASE_CHECK_H_

@@ -25,8 +25,10 @@ struct CardinalityEstimates {
 /// The paper's "generic cost function" made concrete (§2, §5): an access
 /// command costs method.cost × (estimated number of distinct input
 /// bindings), where input cardinalities are propagated through the
-/// middleware commands using the estimates above. Monotone in appended
-/// access commands (every command adds a positive charge), so both prunings
+/// middleware commands using the estimates above. Monotone in the sense of
+/// CostFunction: an appended access command adds a positive charge, and an
+/// appended middleware command adds none (it only feeds the estimates of
+/// accesses after it), so both prunings
 /// of Algorithm 1 remain sound.
 ///
 /// Under this model the Example 5 intersection plans can beat the

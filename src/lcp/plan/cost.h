@@ -9,8 +9,12 @@
 namespace lcp {
 
 /// A "black box" plan cost function (§2, "Cost"). Implementations must be
-/// monotone: appending access commands never decreases the cost — the
-/// cost-bound pruning in Algorithm 1 relies on this.
+/// monotone: appending any command, access or middleware query, never
+/// decreases the cost. The cost-bound pruning in Algorithm 1 relies on this,
+/// and proof search prices a child by its plan prefix up to and including
+/// the new access command, before it appends the child's middleware
+/// commands. A cost function that charges only access commands (every one
+/// in this file and plan/cardinality_cost.h) satisfies it.
 class CostFunction {
  public:
   virtual ~CostFunction() = default;

@@ -158,19 +158,21 @@ class WorkStealingDriver {
       // The created-node count names the child, so a pruned child shares
       // its id with the next created node. Ids rise strictly along every
       // root-to-leaf path (a parent is counted before any child of it is
-      // built), and a plan's table names only need to be unique along its
-      // path. The cap is checked per worker before each creation, so the
-      // global total can overshoot it by at most `parallelism` nodes
-      // (documented in proof_search.h).
+      // priced), and a plan's table names only need to be unique along its
+      // path.
       const int child_id = nodes_created_.load(std::memory_order_relaxed);
-      if (child_id >= options_.max_nodes) {
-        LatchExhaustion(ResourceExhaustedError(StrCat(
-            "search node cap of ", options_.max_nodes, " reached")));
-        RequestStop();
-        break;
+      PricedChild priced = core_.PriceChild(*cur, cand_index, child_id, stats);
+      // Price before build: the child costs at least its price, so a price
+      // at the bound prunes it without the configuration copy, closure
+      // chase and plan translation. With the log on, the child is built
+      // first so its pruned(cost) line can show the closed configuration.
+      if (options_.prune_by_cost && !options_.collect_exploration_log &&
+          priced.price >= best_cost_.load(std::memory_order_relaxed)) {
+        ++stats.pruned_cost;
+        continue;
       }
       Result<SearchNode> built =
-          core_.BuildChild(*cur, cand_index, child_id, engine, stats);
+          core_.BuildChild(*cur, std::move(priced), engine, stats);
       if (!built.ok()) {
         // A chase closure interrupted by the shared budget stops the search
         // gracefully with whatever was found; genuine chase errors
@@ -184,6 +186,8 @@ class WorkStealingDriver {
         break;
       }
       SearchNode child = std::move(*built);
+      // The only cost check with the log on; without it, a second one,
+      // because another worker may have lowered the bound meanwhile.
       if (options_.prune_by_cost &&
           child.cost >= best_cost_.load(std::memory_order_relaxed)) {
         ++stats.pruned_cost;
@@ -198,6 +202,17 @@ class WorkStealingDriver {
           Log(child, "pruned(dominated)");
           continue;
         }
+      }
+      // The node cap counts created nodes, so it is checked only once the
+      // child survived pruning. Each worker checks before, not atomically
+      // with, its creation, so the global total can overshoot the cap by at
+      // most `parallelism` nodes (documented in proof_search.h).
+      if (nodes_created_.load(std::memory_order_relaxed) >=
+          options_.max_nodes) {
+        LatchExhaustion(ResourceExhaustedError(StrCat(
+            "search node cap of ", options_.max_nodes, " reached")));
+        RequestStop();
+        break;
       }
       child.success = core_.CheckSuccess(child);
       auto sp = std::make_shared<SearchNode>(std::move(child));

@@ -33,7 +33,10 @@ struct SearchOptions {
   /// The threshold d: maximum number of access commands per plan.
   int max_access_commands = 6;
   /// Abort a branch whose partial plan already costs at least as much as the
-  /// best complete plan (sound for monotone cost functions).
+  /// best complete plan (sound for monotone cost functions). A candidate is
+  /// first priced by its plan prefix up to the new access command and, if
+  /// that already reaches the bound, discarded before its child is built
+  /// (DESIGN.md §8, "Price before build").
   bool prune_by_cost = true;
   /// Abort a node dominated by an existing node: the existing configuration
   /// has "at least as many useful facts" (a homomorphism over base +
@@ -45,7 +48,9 @@ struct SearchOptions {
   bool stop_at_first_plan = false;
   /// Record every successful plan, not just the cheapest.
   bool keep_all_plans = false;
-  /// Hard cap on created search nodes.
+  /// Hard cap on created search nodes. Checked when a child survives
+  /// pruning and is about to be created, so candidates that pruning
+  /// discards never trip it.
   int max_nodes = 100000;
   /// Access methods the search must not use: candidates over these methods
   /// are dropped at enumeration time, at every worker count, so no returned
@@ -117,14 +122,31 @@ struct SearchOptions {
   plan_opt::OptimizerOptions optimizer;
 };
 
+/// Work counters of one search. At one worker every field is deterministic.
 struct SearchStats {
+  /// Nodes created, the root included: children that survived both
+  /// prunings. This is what max_nodes and a Budget's node cap count.
   int nodes_created = 0;
+  /// Candidates priced: one per fireable (node, candidate) pair the search
+  /// expanded, whether its child was then pruned or created.
   int nodes_expanded = 0;
+  /// Created nodes whose configuration matches InferredAccQ.
   int successes = 0;
+  /// Candidates discarded because their child would cost at least the
+  /// incumbent bound, by price (before the child is built) or by built
+  /// cost (after).
   int pruned_cost = 0;
+  /// Built children discarded as dominated by a stored node.
   int pruned_dominance = 0;
+  /// Nodes whose expansion stopped at max_access_commands.
   int depth_limited = 0;
+  /// Chase firings of the root closure under the original constraints.
   int root_chase_firings = 0;
+  /// Chase firings of the per-child "fire inferred accessible rules
+  /// immediately" closures. Only built children run one: without the
+  /// exploration log, a child whose price reaches the bound is never
+  /// built, so its closure is neither run, counted here, nor charged to a
+  /// Budget's firing cap. With the log on, every child is built first.
   int closure_firings = 0;
 };
 

@@ -170,14 +170,25 @@ FoundPlan SearchCore::MakeFoundPlan(const SearchNode& node) const {
   return FoundPlan{std::move(plan), node.cost};
 }
 
-Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
-                                          int child_id, ChaseEngine& engine,
-                                          SearchStats& stats) const {
+double SearchCore::CostOf(std::vector<Command>& commands,
+                          const std::string& output_table) const {
+  Plan plan;
+  plan.commands = std::move(commands);
+  plan.output_table = output_table;
+  const double cost = cost_.Cost(plan);
+  commands = std::move(plan.commands);
+  return cost;
+}
+
+PricedChild SearchCore::PriceChild(SearchNode& parent, int cand_index,
+                                   int child_id, SearchStats& stats) const {
   ++stats.nodes_expanded;
+  PricedChild priced;
+  priced.child_id = child_id;
   const Candidate& cand = all_candidates_[cand_index];
-  // Take copies up front: the parent's containers must not be aliased while
-  // the child is assembled.
-  const Fact exposed = parent.config.facts()[cand.fact_index];
+  // A copy, so the priced child points into no container of the parent.
+  priced.exposed = parent.config.facts()[cand.fact_index];
+  const Fact& exposed = priced.exposed;
   const AccessMethod& method = acc_.base().access_method(cand.method);
 
   // Facts induced by firing: all base facts over the same relation agreeing
@@ -192,7 +203,6 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
       if (bucket.size() < candidates->size()) candidates = &bucket;
     }
   }
-  std::vector<Fact> induced;
   for (int idx : *candidates) {
     const Fact& d = parent.config.facts()[idx];
     bool agrees = true;
@@ -203,10 +213,10 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
       }
     }
     if (agrees && !parent.config.Contains(AccessedFact(d))) {
-      induced.push_back(d);
+      priced.induced.push_back(d);
     }
   }
-  LCP_CHECK(!induced.empty());
+  LCP_CHECK(!priced.induced.empty());
 
   // Algorithm 1, line 10: the parent will not re-fire this same access for
   // any of the induced facts.
@@ -224,37 +234,10 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
     if (agrees) parent.removed.insert(i);
   }
 
-  SearchNode child;
-  child.id = child_id;
-  child.parent = parent.id;
-  child.config = parent.config;
-  child.accessible_terms = parent.accessible_terms;
-  child.commands = parent.commands;
-  child.table = parent.table;
-  child.attrs = parent.attrs;
-  child.accesses = parent.accesses + 1;
-  child.label =
-      StrCat("expose ", FactToString(exposed, acc_.schema(), arena_), " via ",
-             method.name);
-
-  // --- configuration update ----------------------------------------------
-  for (const Fact& d : induced) {
-    child.config.Add(AccessedFact(d));
-    child.config.Add(Fact(acc_.InferredOf(d.relation), d.terms));
-    for (ChaseTermId t : d.terms) MarkAccessible(child, t);
-  }
-  // "Fire Inferred Accessible Rules Immediately": close under the
-  // InferredAcc copies of the integrity constraints.
-  LCP_ASSIGN_OR_RETURN(
-      ChaseStats closure_stats,
-      engine.Run(compiled_inferred_, closure_chase_, child.config));
-  stats.closure_firings += closure_stats.firings;
-
-  // --- plan update (§4 proof-to-plan translation) --------------------------
-  const std::string parent_table = child.table;
-  std::string raw = StrCat("t", child.id, "_raw");
-  AccessCommand access;
+  // --- the child's access command (§4 proof-to-plan translation) ----------
+  AccessCommand& access = priced.access;
   access.method = cand.method;
+  const std::string raw = StrCat("t", child_id, "_raw");
   access.output_table = raw;
   const Relation& rel = acc_.base().relation(exposed.relation);
   for (int i = 0; i < rel.arity; ++i) {
@@ -275,17 +258,65 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
     }
   }
   if (!input_attrs.empty()) {
-    LCP_CHECK(!parent_table.empty())
+    LCP_CHECK(!parent.table.empty())
         << "accessible null inputs require a previous table";
     access.input =
-        RaExpr::Project(RaExpr::TempScan(parent_table), input_attrs);
+        RaExpr::Project(RaExpr::TempScan(parent.table), input_attrs);
   }
-  child.commands.push_back(std::move(access));
+
+  // --- price: the parent's plan followed by this access ---------------------
+  // Appended to the parent's own command list for the call, then taken
+  // back, so pricing copies no command.
+  parent.commands.push_back(std::move(access));
+  priced.price = CostOf(parent.commands, raw);
+  access = std::get<AccessCommand>(std::move(parent.commands.back()));
+  parent.commands.pop_back();
+  return priced;
+}
+
+Result<SearchNode> SearchCore::BuildChild(const SearchNode& parent,
+                                          PricedChild priced,
+                                          ChaseEngine& engine,
+                                          SearchStats& stats) const {
+  const Fact& exposed = priced.exposed;
+  const AccessMethod& method = acc_.base().access_method(priced.access.method);
+
+  SearchNode child;
+  child.id = priced.child_id;
+  child.parent = parent.id;
+  child.config = parent.config;
+  child.accessible_terms = parent.accessible_terms;
+  child.commands = parent.commands;
+  child.table = parent.table;
+  child.attrs = parent.attrs;
+  child.accesses = parent.accesses + 1;
+  child.label =
+      StrCat("expose ", FactToString(exposed, acc_.schema(), arena_), " via ",
+             method.name);
+
+  // --- configuration update ----------------------------------------------
+  for (const Fact& d : priced.induced) {
+    child.config.Add(AccessedFact(d));
+    child.config.Add(Fact(acc_.InferredOf(d.relation), d.terms));
+    for (ChaseTermId t : d.terms) MarkAccessible(child, t);
+  }
+  // "Fire Inferred Accessible Rules Immediately": close under the
+  // InferredAcc copies of the integrity constraints.
+  LCP_ASSIGN_OR_RETURN(
+      ChaseStats closure_stats,
+      engine.Run(compiled_inferred_, closure_chase_, child.config));
+  stats.closure_firings += closure_stats.firings;
+
+  // --- plan update (§4 proof-to-plan translation) --------------------------
+  const std::string parent_table = child.table;
+  const std::string raw = priced.access.output_table;
+  child.commands.push_back(std::move(priced.access));
 
   // One derived table per induced fact, then one join command.
+  const Relation& rel = acc_.base().relation(exposed.relation);
   std::vector<std::string> fact_tables;
-  for (size_t fi = 0; fi < induced.size(); ++fi) {
-    const Fact& d = induced[fi];
+  for (size_t fi = 0; fi < priced.induced.size(); ++fi) {
+    const Fact& d = priced.induced[fi];
     RaExprPtr expr = RaExpr::TempScan(raw);
     std::vector<RaExpr::Condition> conds;
     std::unordered_map<ChaseTermId, int> first_pos;
@@ -334,10 +365,10 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   child.commands.push_back(QueryCommand{child.table, std::move(joined)});
 
   // --- cost ----------------------------------------------------------------
-  Plan partial;
-  partial.commands = child.commands;
-  partial.output_table = child.table;
-  child.cost = cost_.Cost(partial);
+  child.cost = CostOf(child.commands, child.table);
+  LCP_DCHECK(child.cost >= priced.price)
+      << "cost function not monotone: appending commands lowered "
+      << priced.price << " to " << child.cost;
   return child;
 }
 

@@ -54,17 +54,33 @@ struct SearchNode {
   std::string label;  ///< "expose F via mt" (for exploration logs).
 };
 
+/// One expansion of a parent on a candidate, priced but not yet built: what
+/// PriceChild computed and BuildChild consumes.
+struct PricedChild {
+  int child_id = 0;
+  Fact exposed;
+  /// Base facts the access exposes: same relation as `exposed`, agreeing
+  /// on the method's input positions, not yet accessed at the parent.
+  std::vector<Fact> induced;
+  /// The child's access command (§4), outputs in table t<child_id>_raw.
+  AccessCommand access;
+  /// Cost of the parent's commands followed by `access`. Under the
+  /// CostFunction contract (appending a command never lowers the cost) the
+  /// built child costs at least this much.
+  double price = 0;
+};
+
 /// The scheduling-independent parts of Algorithm 1: root construction,
-/// candidate iteration, node expansion (configuration update,
-/// inferred-accessible closure, §4 proof-to-plan translation, cost), success
-/// detection, and the dominance-probe pattern. Pruning *decisions* and node
-/// bookkeeping stay in the driver, which owns the incumbent bound and the
-/// dominance set.
+/// candidate iteration, node expansion in two steps (pricing the child's
+/// access, then the configuration update, inferred-accessible closure, §4
+/// proof-to-plan translation and cost), success detection, and the
+/// dominance-probe pattern. Pruning *decisions* and node bookkeeping stay
+/// in the driver, which owns the incumbent bound and the dominance set.
 ///
 /// Thread model: construction and InitRoot are single-threaded; afterwards
 /// every method is const and safe from concurrent workers (the arena it
 /// owns is internally synchronized; each worker passes its own ChaseEngine
-/// and SearchStats, and BuildChild/NextCandidate mutate only the node the
+/// and SearchStats, and NextCandidate/PriceChild mutate only the node the
 /// calling worker owns).
 class SearchCore {
  public:
@@ -90,16 +106,28 @@ class SearchCore {
   /// projection appended, plus its cost.
   FoundPlan MakeFoundPlan(const SearchNode& node) const;
 
-  /// Expands `parent` on `cand_index`: removes the sibling candidates this
-  /// access also covers (Algorithm 1, line 10), then builds the child —
-  /// configuration update, "fire inferred accessible rules immediately"
-  /// closure, plan prefix, cost. Returns the child without making any
-  /// pruning decision. Mutates only `parent` (which the caller owns) and
-  /// `stats` (the caller's). Errors propagate (typically a budget-exhausted
-  /// chase closure; the driver translates that into the anytime contract).
-  Result<SearchNode> BuildChild(SearchNode& parent, int cand_index,
-                                int child_id, ChaseEngine& engine,
-                                SearchStats& stats) const;
+  /// First half of expanding `parent` on `cand_index`: counts one
+  /// nodes_expanded, removes the sibling candidates this access also covers
+  /// (Algorithm 1, line 10), collects the induced facts and builds the
+  /// child's access command, which names its output after `child_id`.
+  /// Returns them with the price, cost(parent.commands + access). Runs no
+  /// chase and copies no configuration, so a driver can discard a child
+  /// whose price already reaches the incumbent bound before paying for it.
+  /// Mutates only `parent` (which the caller owns) and `stats` (the
+  /// caller's); parent.commands is restored before it returns.
+  PricedChild PriceChild(SearchNode& parent, int cand_index, int child_id,
+                         SearchStats& stats) const;
+
+  /// Second half: builds the child of `parent` that `priced` describes —
+  /// one middleware command per induced fact and the join, the
+  /// configuration update, the "fire inferred accessible rules
+  /// immediately" closure (its firings go to stats.closure_firings and to
+  /// the budget), and the full cost, which is >= priced.price (checked in
+  /// builds without NDEBUG). Makes no pruning decision and does not touch
+  /// `parent`. Errors propagate (typically a budget-exhausted chase closure;
+  /// the driver translates that into the anytime contract).
+  Result<SearchNode> BuildChild(const SearchNode& parent, PricedChild priced,
+                                ChaseEngine& engine, SearchStats& stats) const;
 
   /// The dominance probe of `node` (§5, "Optimizations"): its base,
   /// InferredAcc, and accessible facts as a pattern with nulls as variables,
@@ -121,6 +149,10 @@ class SearchCore {
 
  private:
   void MarkAccessible(SearchNode& node, ChaseTermId term) const;
+  /// cost_ of `commands` as a plan ending in `output_table`. The commands
+  /// are moved into the plan for the call and back, not copied.
+  double CostOf(std::vector<Command>& commands,
+                const std::string& output_table) const;
   Fact AccessedFact(const Fact& base_fact) const {
     return Fact(acc_.AccessedOf(base_fact.relation), base_fact.terms);
   }

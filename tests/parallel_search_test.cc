@@ -9,21 +9,26 @@
 // the search code, so the suite also checks the 1-worker optimum against an
 // independent oracle: Theorem 9 says pruning by cost and dominance under a
 // simple cost function keeps the optimum, so it must equal the minimum over
-// the unpruned proof space. LCP_PARALLEL_STRESS_ITERS scales the seed count
-// (CI stress/TSan jobs).
+// the unpruned proof space. The same scenarios also check, under each cost
+// function, that pricing a candidate before building its child makes the
+// same decisions as building it first. LCP_PARALLEL_STRESS_ITERS scales the
+// seed count (CI stress/TSan jobs).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "lcp/accessible/accessible_schema.h"
 #include "lcp/base/budget.h"
 #include "lcp/base/clock.h"
+#include "lcp/plan/cardinality_cost.h"
 #include "lcp/plan/cost.h"
 #include "lcp/planner/proof_search.h"
 #include "lcp/workload/scenarios.h"
@@ -38,13 +43,42 @@ int StressIters(int default_iters) {
   return default_iters;
 }
 
+/// The three cost functions of plan/: the paper's simple one, per-relation
+/// weights, and the cardinality-propagating model.
+enum class CostModel { kSimple, kWeighted, kCardinality };
+
+std::unique_ptr<CostFunction> MakeCost(CostModel model, const Schema& schema) {
+  switch (model) {
+    case CostModel::kSimple:
+      return std::make_unique<SimpleCostFunction>(&schema);
+    case CostModel::kWeighted: {
+      std::unordered_map<RelationId, double> calls;
+      for (RelationId r = 0; r < schema.num_relations(); ++r) {
+        calls[r] = 1.0 + r % 3;
+      }
+      return std::make_unique<WeightedAccessCostFunction>(&schema,
+                                                          std::move(calls));
+    }
+    case CostModel::kCardinality: {
+      CardinalityEstimates estimates;
+      for (RelationId r = 0; r < schema.num_relations(); ++r) {
+        estimates.cardinality[r] = 10.0 * (1 + r % 4);
+      }
+      return std::make_unique<CardinalityCostFunction>(&schema,
+                                                       std::move(estimates));
+    }
+  }
+  return nullptr;
+}
+
 Result<SearchOutcome> RunScenario(const Scenario& scenario,
-                                  const SearchOptions& options) {
+                                  const SearchOptions& options,
+                                  CostModel model = CostModel::kSimple) {
   auto accessible =
       AccessibleSchema::Build(*scenario.schema, AccessibleVariant::kStandard);
   if (!accessible.ok()) return accessible.status();
-  SimpleCostFunction cost(&accessible->base());
-  ProofSearch search(&*accessible, &cost);
+  std::unique_ptr<CostFunction> cost = MakeCost(model, accessible->base());
+  ProofSearch search(&*accessible, cost.get());
   return search.Run(scenario.query, options);
 }
 
@@ -113,6 +147,82 @@ TEST(ParallelSearchTest, PaperScenariosAgree) {
   ExpectWorkerCountsAgree(*telephone, SearchOptions{});
 }
 
+/// Price-first vs build-first at one worker: with the exploration log on,
+/// the driver builds every child before its cost decision; with it off, it
+/// prices the child's access command first and builds only children the
+/// price does not prune. For cost functions that charge only access
+/// commands the price is the built cost, so both runs must make the same
+/// decisions: same plans, same node and prune counts. Only the closure
+/// chases of price-pruned children go away.
+void ExpectPricingMatchesBuilding(const Scenario& scenario,
+                                  SearchOptions options, CostModel model) {
+  options.parallelism = 1;
+  options.collect_exploration_log = true;
+  auto built = RunScenario(scenario, options, model);
+  options.collect_exploration_log = false;
+  auto priced = RunScenario(scenario, options, model);
+  ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_TRUE(priced.ok()) << priced.status();
+  EXPECT_TRUE(built->exhaustion.ok()) << built->exhaustion;
+  EXPECT_TRUE(priced->exhaustion.ok()) << priced->exhaustion;
+  ASSERT_EQ(built->best.has_value(), priced->best.has_value())
+      << scenario.name;
+  if (built->best.has_value()) {
+    EXPECT_TRUE(built->best->plan == priced->best->plan) << scenario.name;
+    EXPECT_EQ(built->best->cost, priced->best->cost) << scenario.name;
+  }
+  ASSERT_EQ(built->all_plans.size(), priced->all_plans.size());
+  for (size_t i = 0; i < built->all_plans.size(); ++i) {
+    EXPECT_TRUE(built->all_plans[i].plan == priced->all_plans[i].plan);
+    EXPECT_EQ(built->all_plans[i].cost, priced->all_plans[i].cost);
+  }
+  const SearchStats& b = built->stats;
+  const SearchStats& p = priced->stats;
+  EXPECT_EQ(b.nodes_created, p.nodes_created) << scenario.name;
+  EXPECT_EQ(b.nodes_expanded, p.nodes_expanded) << scenario.name;
+  EXPECT_EQ(b.successes, p.successes) << scenario.name;
+  EXPECT_EQ(b.pruned_cost, p.pruned_cost) << scenario.name;
+  EXPECT_EQ(b.pruned_dominance, p.pruned_dominance) << scenario.name;
+  EXPECT_LE(p.closure_firings, b.closure_firings) << scenario.name;
+}
+
+/// One round of the seeded random scenarios: a multi-source scenario and a
+/// chain scenario, each with its search options.
+struct RandomRound {
+  Scenario multi;
+  SearchOptions multi_options;
+  Scenario chain;
+  SearchOptions chain_options;
+};
+
+RandomRound NextRandomRound(std::mt19937& rng) {
+  RandomRound round;
+  // Multi-source with randomized access costs: cost pruning and dominance
+  // both bite, and the optimal source choice is seed-dependent.
+  int num_sources = 2 + static_cast<int>(rng() % 4);
+  std::vector<double> costs(num_sources);
+  std::uniform_real_distribution<double> cost_dist(0.5, 8.0);
+  for (double& c : costs) c = cost_dist(rng);
+  double profinfo_cost = cost_dist(rng);
+  round.multi =
+      MakeMultiSourceScenario(num_sources, costs.data(), profinfo_cost)
+          .value();
+  SearchOptions& options = round.multi_options;
+  options.max_access_commands = 2 + static_cast<int>(rng() % 3);
+  options.candidate_order = (rng() % 2 == 0)
+                                ? CandidateOrder::kDerivationDepth
+                                : CandidateOrder::kFreeAccessFirst;
+  options.prune_by_cost = rng() % 4 != 0;  // Mostly on, sometimes off.
+  options.keep_all_plans = rng() % 2 == 0;
+
+  // Chain scenario: plans need several dependent accesses, so parallel
+  // workers hand partially-expanded ancestors back and forth.
+  round.chain = MakeChainScenario(1 + static_cast<int>(rng() % 4)).value();
+  round.chain_options.max_access_commands = 3 + static_cast<int>(rng() % 4);
+  round.chain_options.candidate_order = options.candidate_order;
+  return round;
+}
+
 TEST(ParallelSearchTest, DifferentialRandomizedScenarios) {
   // >= 100 scenarios by default: `iters` rounds of 2 scenarios, each
   // compared across three parallelism levels and against the unpruned
@@ -120,36 +230,25 @@ TEST(ParallelSearchTest, DifferentialRandomizedScenarios) {
   const int iters = StressIters(50);
   std::mt19937 rng(20260806);
   for (int iter = 0; iter < iters; ++iter) {
-    // Multi-source with randomized access costs: cost pruning and dominance
-    // both bite, and the optimal source choice is seed-dependent.
-    int num_sources = 2 + static_cast<int>(rng() % 4);
-    std::vector<double> costs(num_sources);
-    std::uniform_real_distribution<double> cost_dist(0.5, 8.0);
-    for (double& c : costs) c = cost_dist(rng);
-    double profinfo_cost = cost_dist(rng);
-    auto multi =
-        MakeMultiSourceScenario(num_sources, costs.data(), profinfo_cost);
-    ASSERT_TRUE(multi.ok());
-    SearchOptions options;
-    options.max_access_commands = 2 + static_cast<int>(rng() % 3);
-    options.candidate_order = (rng() % 2 == 0)
-                                  ? CandidateOrder::kDerivationDepth
-                                  : CandidateOrder::kFreeAccessFirst;
-    options.prune_by_cost = rng() % 4 != 0;  // Mostly on, sometimes off.
-    options.keep_all_plans = rng() % 2 == 0;
+    RandomRound round = NextRandomRound(rng);
     SearchOutcome single;
-    ExpectWorkerCountsAgree(*multi, options, &single);
-    ExpectPruningKeepsOptimum(*multi, options, single);
+    ExpectWorkerCountsAgree(round.multi, round.multi_options, &single);
+    ExpectPruningKeepsOptimum(round.multi, round.multi_options, single);
+    ExpectWorkerCountsAgree(round.chain, round.chain_options, &single);
+    ExpectPruningKeepsOptimum(round.chain, round.chain_options, single);
+  }
+}
 
-    // Chain scenario: plans need several dependent accesses, so parallel
-    // workers hand partially-expanded ancestors back and forth.
-    auto chain = MakeChainScenario(1 + static_cast<int>(rng() % 4));
-    ASSERT_TRUE(chain.ok());
-    SearchOptions chain_options;
-    chain_options.max_access_commands = 3 + static_cast<int>(rng() % 4);
-    chain_options.candidate_order = options.candidate_order;
-    ExpectWorkerCountsAgree(*chain, chain_options, &single);
-    ExpectPruningKeepsOptimum(*chain, chain_options, single);
+TEST(ParallelSearchTest, PricingFirstMatchesBuildingFirst) {
+  const int iters = StressIters(50);
+  std::mt19937 rng(20260806);
+  for (int iter = 0; iter < iters; ++iter) {
+    RandomRound round = NextRandomRound(rng);
+    for (CostModel model : {CostModel::kSimple, CostModel::kWeighted,
+                            CostModel::kCardinality}) {
+      ExpectPricingMatchesBuilding(round.multi, round.multi_options, model);
+      ExpectPricingMatchesBuilding(round.chain, round.chain_options, model);
+    }
   }
 }
 

@@ -190,6 +190,38 @@ TEST(SearchDetailTest, NodeCapBoundsTheSearch) {
   EXPECT_LE(outcome->stats.nodes_created, 11);
 }
 
+TEST(SearchDetailTest, NodeCapCountsOnlyCreatedNodes) {
+  // Figure 1 under cost pruning creates exactly 10 nodes; its last three
+  // candidates are all cost-pruned. A cap of 10 must therefore let the
+  // search finish: the cap limits created nodes, not pruned candidates.
+  const double unit[3] = {1.0, 1.0, 1.0};
+  Scenario scenario = MakeMultiSourceScenario(3, unit, 1.0).value();
+  auto accessible = AccessibleSchema::Build(*scenario.schema,
+                                            AccessibleVariant::kStandard);
+  ASSERT_TRUE(accessible.ok());
+  SimpleCostFunction cost(scenario.schema.get());
+  ProofSearch search(&*accessible, &cost);
+  SearchOptions options;
+  options.max_access_commands = 4;
+  options.candidate_order = CandidateOrder::kFreeAccessFirst;
+  for (bool log : {false, true}) {
+    options.collect_exploration_log = log;
+    options.max_nodes = 10;
+    auto outcome = search.Run(scenario.query, options);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_TRUE(outcome->exhaustion.ok()) << outcome->exhaustion;
+    EXPECT_EQ(outcome->stats.nodes_created, 10);
+    ASSERT_TRUE(outcome->best.has_value());
+    EXPECT_DOUBLE_EQ(outcome->best->cost, 2.0);
+    // One node fewer and the cap does trip.
+    options.max_nodes = 9;
+    outcome = search.Run(scenario.query, options);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_EQ(outcome->exhaustion.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(outcome->stats.nodes_created, 9);
+  }
+}
+
 TEST(SearchDetailTest, DepthBudgetLimitsPlans) {
   Scenario scenario = MakeChainScenario(3).value();
   auto accessible = AccessibleSchema::Build(*scenario.schema,

@@ -283,5 +283,57 @@ TEST(SearchPinTest, ChainScenarioStatsAndPlan) {
             "output: t4_out[a_0]\n");
 }
 
+// The counters below are the search's work, pinned as a gate: they are
+// deterministic at one worker, so an algorithmic regression shows up here
+// without any timing. With the exploration log off, a candidate is priced
+// by its access command before its child is built, so a cost-pruned child
+// runs no closure chase: the node and prune counts equal the logged run's,
+// and only closure_firings drops.
+TEST(SearchPinTest, Figure1CountersWithoutLog) {
+  Scenario scenario = Fig1Scenario();
+  SearchOptions options = Fig1Options();
+  options.collect_exploration_log = false;
+  options.prune_by_cost = true;
+  SearchOutcome outcome = RunSearch(scenario, options);
+  EXPECT_TRUE(outcome.exploration_log.empty());
+  EXPECT_TRUE(outcome.exhaustion.ok()) << outcome.exhaustion;
+
+  SearchStats want;
+  want.nodes_created = 10;
+  want.nodes_expanded = 17;
+  want.successes = 3;
+  want.pruned_cost = 8;
+  want.root_chase_firings = 3;
+  want.closure_firings = 3;
+  ExpectStats(outcome.stats, want);
+
+  ASSERT_TRUE(outcome.best.has_value());
+  EXPECT_DOUBLE_EQ(outcome.best->cost, 2.0);
+  Result<Plan> pinned = DecodePlan(FromHex(kFig1BestPlanHex));
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  EXPECT_TRUE(outcome.best->plan == *pinned);
+}
+
+TEST(SearchPinTest, TwentySourceCountersWithoutLog) {
+  const double costs[20] = {6, 3, 8, 2, 7, 5, 4, 8, 1, 6,
+                            3, 7, 2, 5, 8, 4, 6, 1, 7, 3};
+  Scenario scenario = MakeMultiSourceScenario(20, costs, 1.0).value();
+  SearchOutcome outcome = RunSearch(scenario, SearchOptions{});
+  EXPECT_TRUE(outcome.exhaustion.ok()) << outcome.exhaustion;
+
+  SearchStats want;
+  want.nodes_created = 10;
+  want.nodes_expanded = 120;
+  want.successes = 4;
+  want.pruned_cost = 111;
+  want.pruned_dominance = 0;
+  want.root_chase_firings = 20;
+  want.closure_firings = 76;
+  ExpectStats(outcome.stats, want);
+
+  ASSERT_TRUE(outcome.best.has_value());
+  EXPECT_DOUBLE_EQ(outcome.best->cost, 2.0);
+}
+
 }  // namespace
 }  // namespace lcp
